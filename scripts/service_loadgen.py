@@ -245,6 +245,9 @@ def main() -> int:
     print(f"server:    memory_hits {window['memory_hits']}, "
           f"store_hits {window['store_hits']}, compiles {window['compiles']}, "
           f"coalesced {window['coalesced']}, errors {window['errors']}")
+    print(f"handles:   handle_hits {window.get('handle_hits', 0)}, "
+          f"handle_misses {window.get('handle_misses', 0)}, "
+          f"full_config_requests {window.get('full_config_requests', 0)}")
 
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:

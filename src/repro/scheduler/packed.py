@@ -40,6 +40,7 @@ and the per-application wait counters and is reconstructed on decode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -178,6 +179,19 @@ class PackedSlotSystem:
         # memo does).
         self._expander: Optional[_FrontierExpander] = None
         self.initial = self.encode(initial_state(config))
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """The configuration's sha256 content address, computed once.
+
+        Equal to :func:`repro.verification.kernel.config_fingerprint` of
+        :attr:`config`; graph-store keys, spec-verdict cache keys and
+        service config handles read it here instead of re-hashing the
+        configuration on every lookup.
+        """
+        from ..verification.kernel import config_fingerprint
+
+        return config_fingerprint(self.config)
 
     # ------------------------------------------------------------- encoding
     def encode(self, state: SlotSystemState) -> int:
@@ -1378,6 +1392,16 @@ def packed_system_for(config: SlotSystemConfig) -> PackedSlotSystem:
     # (Re-)inserting moves the entry to the most-recently-used position.
     _SYSTEM_CACHE[config] = system
     return system
+
+
+def is_shared_system(system: PackedSlotSystem) -> bool:
+    """Whether ``system`` is still the instance :func:`packed_system_for`
+    returns for its configuration (not LRU-evicted, not cleared).
+
+    An identity scan of the bounded LRU, so callers that hold a system can
+    re-validate it without hashing its configuration.
+    """
+    return any(entry is system for entry in list(_SYSTEM_CACHE.values()))
 
 
 def clear_packed_caches() -> None:

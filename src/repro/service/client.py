@@ -7,6 +7,11 @@ load generator and the service test suite speak; it also adapts the server
 into a first-fit admission test (:meth:`ServiceClient.admission_test`), so
 a dimensioner running in one process can verify against a shared server —
 and its shared graph store — in another.
+
+The client sends a slot configuration's profiles once per connection: the
+server answers with a config handle, and later queries about the same
+profile objects send only the handle (see "Config handles" in
+:mod:`repro.service.protocol`).
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ import os
 import random
 import socket
 import time
+from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..exceptions import ServiceError
 from ..switching.profile import SwitchingProfile
 from ..verification.result import VerificationResult
 from .protocol import (
+    CODE_UNKNOWN_CONFIG,
     SOCKET_ENV_VAR,
     decode_message,
     encode_message,
@@ -47,6 +54,13 @@ class ServiceClient:
     (e.g. ``worker-pool-failure`` after a worker died) — are retried with
     bounded exponential backoff and jitter.  ``shutdown`` is never retried:
     a transport error there usually *is* the success signal.
+
+    Config handles are cached per connection, keyed on the identity of the
+    profile objects plus ``use_acceleration`` and the explicit budget; the
+    cache holds the profiles themselves, so their ids cannot be reused
+    while an entry lives.  An ``unknown-config`` answer drops the handle
+    and resends the full configuration once — outside the ``retries``
+    budget, so ``retries=0`` clients survive a server restart too.
 
     Args:
         socket_path: server socket; defaults to ``REPRO_SERVICE_SOCKET``.
@@ -85,6 +99,9 @@ class ServiceClient:
         self._socket: Optional[socket.socket] = None
         self._reader = None
         self._ids = itertools.count(1)
+        #: Config-handle LRU: (profile ids, use_acceleration, budget) ->
+        #: (handle, profiles).  Emptied whenever the connection closes.
+        self._handles: "OrderedDict[tuple, tuple]" = OrderedDict()
         #: Injectable for tests asserting backoff without real waiting.
         self._sleep = time.sleep
 
@@ -129,7 +146,8 @@ class ServiceClient:
         self._reader = sock.makefile("rb")
 
     def close(self) -> None:
-        """Close the connection (idempotent)."""
+        """Close the connection (idempotent) and forget its config handles."""
+        self._handles.clear()
         if self._reader is not None:
             try:
                 self._reader.close()
@@ -241,16 +259,14 @@ class ServiceClient:
         deadline: Optional[float] = None,
     ) -> VerificationResult:
         """Verify one slot configuration; returns the usual result object."""
-        response = self.request(
+        response = self._config_request(
             "verify",
-            deadline=deadline,
-            **self._verify_fields(
-                profiles,
-                use_acceleration,
-                instance_budget,
-                max_states,
-                parent_profiles,
-            ),
+            deadline,
+            profiles,
+            use_acceleration,
+            instance_budget,
+            max_states,
+            parent_profiles,
             with_counterexample=with_counterexample,
             minimize=minimize,
         )
@@ -266,16 +282,14 @@ class ServiceClient:
         deadline: Optional[float] = None,
     ) -> bool:
         """Admission test: may these profiles share one TT slot?"""
-        response = self.request(
+        response = self._config_request(
             "admit",
-            deadline=deadline,
-            **self._verify_fields(
-                profiles,
-                use_acceleration,
-                instance_budget,
-                max_states,
-                parent_profiles,
-            ),
+            deadline,
+            profiles,
+            use_acceleration,
+            instance_budget,
+            max_states,
+            parent_profiles,
         )
         if response.get("truncated"):
             raise ServiceError(
@@ -292,11 +306,14 @@ class ServiceClient:
         minimize: bool = True,
     ) -> VerificationResult:
         """Verify with the witness trace always requested."""
-        response = self.request(
+        response = self._config_request(
             "counterexample",
-            **self._verify_fields(
-                profiles, use_acceleration, instance_budget, max_states, None
-            ),
+            None,
+            profiles,
+            use_acceleration,
+            instance_budget,
+            max_states,
+            None,
             minimize=minimize,
         )
         return result_from_wire(response["result"])
@@ -328,16 +345,14 @@ class ServiceClient:
         wire_specs = [
             spec.to_dict() if isinstance(spec, Spec) else spec for spec in specs
         ]
-        response = self.request(
+        response = self._config_request(
             "check",
-            deadline=deadline,
-            **self._verify_fields(
-                profiles,
-                use_acceleration,
-                instance_budget,
-                max_states,
-                parent_profiles,
-            ),
+            deadline,
+            profiles,
+            use_acceleration,
+            instance_budget,
+            max_states,
+            parent_profiles,
             specs=wire_specs,
         )
         return [SpecVerdict.from_dict(entry) for entry in response["verdicts"]]
@@ -386,20 +401,28 @@ class ServiceClient:
         return admit
 
     # -------------------------------------------------------------- internal
-    @staticmethod
-    def _verify_fields(
+    #: Bound of the per-connection config-handle cache.
+    _HANDLE_CACHE_SIZE = 256
+
+    def _config_request(
+        self,
+        operation: str,
+        deadline: Optional[float],
         profiles: Sequence[SwitchingProfile],
         use_acceleration: bool,
         instance_budget: Optional[Mapping[str, int]],
         max_states: Optional[int],
         parent_profiles: Optional[Sequence[SwitchingProfile]],
+        **fields: Any,
     ) -> Dict[str, Any]:
-        fields: Dict[str, Any] = {
-            "profiles": profiles_to_wire(profiles),
-            "use_acceleration": bool(use_acceleration),
-        }
-        if instance_budget is not None:
-            fields["instance_budget"] = dict(instance_budget)
+        """One request about a slot configuration, by handle when one is
+        cached, else with the full configuration (caching its handle)."""
+        profiles = tuple(profiles)
+        key = (
+            tuple(map(id, profiles)),
+            bool(use_acceleration),
+            None if instance_budget is None else tuple(sorted(instance_budget.items())),
+        )
         if max_states is not None:
             fields["max_states"] = int(max_states)
         if parent_profiles:
@@ -408,4 +431,25 @@ class ServiceClient:
                 from ..verification.acceleration import instance_budgets
 
                 fields["parent_instance_budget"] = instance_budgets(parent_profiles)
-        return fields
+        cached = self._handles.get(key)
+        if cached is not None:
+            self._handles.move_to_end(key)
+            try:
+                return self.request(
+                    operation, deadline=deadline, config=cached[0], **fields
+                )
+            except ServiceError as error:
+                if error.code != CODE_UNKNOWN_CONFIG:
+                    raise
+                self._handles.pop(key, None)
+        fields["profiles"] = profiles_to_wire(profiles)
+        fields["use_acceleration"] = bool(use_acceleration)
+        if instance_budget is not None:
+            fields["instance_budget"] = dict(instance_budget)
+        response = self.request(operation, deadline=deadline, **fields)
+        handle = response.get("config")
+        if isinstance(handle, str):
+            self._handles[key] = (handle, profiles)
+            while len(self._handles) > self._HANDLE_CACHE_SIZE:
+                self._handles.popitem(last=False)
+        return response

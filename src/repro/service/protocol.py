@@ -19,24 +19,27 @@ Operations:
 ``ping``
     Liveness probe; responds ``{"ok": true, "pong": true}``.
 ``stats``
-    Server counters (hits per tier, coalesced compiles, uptime) and the
-    graph-store summary.
+    Server counters (hits per tier, coalesced compiles, config-handle
+    hits/misses and full-config requests, uptime) and the graph-store
+    summary.
 ``verify``
     Full verification of one slot configuration.  Fields: ``profiles``
     (list of :meth:`~repro.switching.profile.SwitchingProfile.to_dict`
-    objects, required), ``use_acceleration`` (bool, default true — apply
+    objects, required unless ``config`` names a handle, see "Config
+    handles" below), ``use_acceleration`` (bool, default true — apply
     the paper's instance budgets), ``instance_budget`` (optional explicit
     ``{name: budget}`` mapping, overrides ``use_acceleration``),
     ``max_states`` (optional exploration cap), ``with_counterexample``
     (bool, default false), ``minimize`` (bool, default false).  Responds
     with the serialized :class:`~repro.verification.result
     .VerificationResult` plus the ``tier`` the query was answered from
-    (``"memory"``, ``"store"`` or ``"cold"``).
+    (``"memory"``, ``"store"`` or ``"cold"``) and the ``config`` handle.
 ``admit``
     Admission test: same fields as ``verify``, but the response carries
-    only ``admitted`` (and ``tier``) — the shape the first-fit dimensioner
-    consumes.  ``parent_profiles`` (optional) names the slot's current,
-    already-verified contents so cold compiles delta-warm-start.
+    only ``admitted``, ``truncated``, ``tier`` and ``config`` — the shape
+    the first-fit dimensioner consumes.  ``parent_profiles`` (optional)
+    names the slot's current, already-verified contents so cold compiles
+    delta-warm-start.
 ``counterexample``
     ``verify`` with the witness always requested and minimized by default.
 ``check``
@@ -47,7 +50,7 @@ Operations:
     mixing both.  Warm graphs (memory or store tier) answer inline in the
     event loop; a cold configuration compiles through the same
     single-flight path as ``verify`` first.  Responds with ``tier``,
-    ``feasible`` and ``verdicts`` — one serialized
+    ``config``, ``feasible`` and ``verdicts`` — one serialized
     :class:`~repro.verification.spec_eval.SpecVerdict` per spec, in
     request order.
 ``first_fit``
@@ -57,9 +60,40 @@ Operations:
 ``batch``
     ``{"op": "batch", "requests": [...]}`` — the sub-requests (any ops but
     ``batch``) run concurrently server-side; the response carries their
-    responses in request order under ``responses``.
+    responses in request order under ``responses``.  Sub-requests may
+    carry config handles like any other request.
 ``shutdown``
     Ask the server to stop accepting connections and exit.
+
+Config handles
+--------------
+
+Sending a slot configuration costs far more than answering a warm query
+about it: a four-application configuration is ~3.3 KB of profiles to
+encode, parse and validate, while the replay that answers it takes
+~20 µs.  So the server hands each configuration back as a *handle* and
+the client echoes it instead of resending the profiles (the nonce-echo
+idiom):
+
+* Every ``verify``, ``admit``, ``counterexample`` and ``check`` response
+  carries ``"config": <handle>``.  The handle is the configuration's
+  sha256 content address
+  (:func:`~repro.verification.kernel.config_fingerprint`), so equal
+  configurations share one handle, across connections too.
+* A later request may send ``"config": <handle>`` *in place of*
+  ``profiles`` / ``use_acceleration`` / ``instance_budget``.  A request
+  that carries ``profiles`` is always parsed as a full configuration and
+  any ``config`` field in it is ignored.  All other fields
+  (``max_states``, ``specs``, ``with_counterexample``, ``minimize``,
+  ``parent_profiles``) are sent as usual.
+* The server remembers a bounded number of configurations (an LRU).  A
+  handle it does not know — evicted, or the server restarted — fails with
+  code ``unknown-config``.  That error is final *as sent*: the sender must
+  resend the request with the full configuration, which also re-registers
+  the handle.  :class:`~repro.service.client.ServiceClient` does this
+  transparently, once, without counting the resend against its
+  ``retries`` budget.  The client caches handles per connection and drops
+  them all on ``close()`` and on every reconnect.
 
 Responses
 ---------
@@ -88,6 +122,11 @@ retry makes sense; ``retryable`` is the server's own judgement (always
     A ``check`` hit the ``max_states`` cap before the graph was fully
     explored; temporal verdicts need the complete graph.  Not retryable as
     sent — resend with a larger ``max_states``.
+``unknown-config``
+    A request named a config handle the server does not hold (evicted from
+    its bounded table, or issued by a server that has since restarted).
+    Not retryable as sent — resend with the full configuration (see
+    "Config handles" above).
 ``worker-pool-failure``
     The cold-compile worker pool died mid-request (a worker was OOM-killed
     or crashed).  Retryable: the server rebuilds the pool, so a resend of
@@ -114,6 +153,7 @@ __all__ = [
     "CODE_SHUTTING_DOWN",
     "CODE_SPEC",
     "CODE_TRUNCATED",
+    "CODE_UNKNOWN_CONFIG",
     "CODE_WORKER_POOL",
     "RETRYABLE_CODES",
     "SOCKET_ENV_VAR",
@@ -135,6 +175,7 @@ SOCKET_ENV_VAR = "REPRO_SERVICE_SOCKET"
 CODE_INVALID = "invalid-request"
 CODE_SPEC = "invalid-spec"
 CODE_TRUNCATED = "exploration-truncated"
+CODE_UNKNOWN_CONFIG = "unknown-config"
 CODE_WORKER_POOL = "worker-pool-failure"
 CODE_SHUTTING_DOWN = "shutting-down"
 CODE_INTERNAL = "internal"

@@ -23,6 +23,26 @@ Architecture (the thin-hot-path shape of high-rate acquisition systems):
   parent's published graph through the store's lineage instead of
   compiling from scratch.
 
+Two bounded tables keep a warm query down to a dictionary lookup plus the
+replay:
+
+* **Handle table** — an LRU from config fingerprint to the parsed
+  configuration ``(profiles, wire profiles, budget, config)``.  A request
+  naming a known handle (``"config": <fingerprint>``, see
+  :mod:`repro.service.protocol`) skips profile parsing, budget derivation
+  and hashing altogether; an unknown handle fails with ``unknown-config``.
+  Full-config requests are parsed once per distinct payload (a second LRU
+  maps the payload to its fingerprint) and land in the same table.
+* **Warm map** — an LRU from fingerprint to the shared packed system
+  whose compiled graph is complete (or error-stopped), no larger than the
+  ``packed_system_for`` LRU.  A hit skips ``packed_system_for`` (two hashes
+  of the frozen config) and, for ``admit``, the verifier too: the answer
+  comes straight from the graph's replay.  Every hit re-checks that the
+  graph is still frozen and the system still the shared one, because
+  ``clear_packed_caches``, an LRU eviction or a store load can replace it.
+
+Hits never publish: a warm graph is by definition already in the store.
+
 The server holds at most the ``packed_system_for`` LRU's worth of graphs
 in memory (16 configurations); everything else lives in the store, bounded
 by ``REPRO_GRAPH_STORE_BYTES``.
@@ -40,7 +60,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Any, Dict, Optional
 
 from ..exceptions import ServiceError, SpecError
-from ..scheduler.packed import packed_system_for
+from ..scheduler.packed import is_shared_system, packed_system_for
 from ..scheduler.slot_system import SlotSystemConfig
 from ..verification.exhaustive import DEFAULT_MAX_STATES, verify_slot_sharing
 from ..verification.kernel import config_fingerprint
@@ -51,6 +71,7 @@ from .protocol import (
     CODE_SHUTTING_DOWN,
     CODE_SPEC,
     CODE_TRUNCATED,
+    CODE_UNKNOWN_CONFIG,
     CODE_WORKER_POOL,
     MAX_LINE_BYTES,
     budget_from_wire,
@@ -70,6 +91,19 @@ __all__ = ["VerificationService", "DEFAULT_STORE_DIR"]
 DEFAULT_STORE_DIR = os.path.join(
     os.path.expanduser("~"), ".cache", "repro", "graph-store"
 )
+
+
+def _frozen(graph) -> bool:
+    """Whether a compiled graph replays without expanding anything."""
+    return graph is not None and (graph.complete or graph.error is not None)
+
+
+def _remember(table: OrderedDict, key, value, limit: int) -> None:
+    """Insert into a bounded LRU as most recent, evicting the oldest."""
+    table[key] = value
+    table.move_to_end(key)
+    while len(table) > limit:
+        table.popitem(last=False)
 
 
 # ------------------------------------------------------------- worker jobs
@@ -144,11 +178,16 @@ class VerificationService:
         #: In-process single-flight: pending cold compiles keyed by
         #: ``fingerprint:max_states`` (and ``ff:<key>`` for dimensionings).
         self._inflight: Dict[str, asyncio.Future] = {}
-        #: Request-parse LRU: raw profile/budget payload -> (profiles,
-        #: budget, config, fingerprint).  The hot path must not re-run
-        #: profile validation, budget derivation and the sha256 fingerprint
-        #: for every repeat of a popular configuration.
-        self._parse_cache: "OrderedDict[str, tuple]" = OrderedDict()
+        #: Handle table: fingerprint -> (profiles, wire profiles, budget,
+        #: config).  Handle requests resolve here without any parsing.
+        self._configs: "OrderedDict[str, tuple]" = OrderedDict()
+        #: Full-config requests: raw profile/budget payload -> fingerprint,
+        #: so a client that does not use handles parses each config once.
+        self._parse_cache: "OrderedDict[str, str]" = OrderedDict()
+        #: Warm map: fingerprint -> shared packed system with a frozen graph.
+        self._warm: "OrderedDict[str, Any]" = OrderedDict()
+        #: Parsed spec lists keyed by the tuple of their source strings.
+        self._specs: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._started = time.monotonic()
         self.stats: Dict[str, int] = {
             "requests": 0,
@@ -160,6 +199,9 @@ class VerificationService:
             "errors": 0,
             "pool_rebuilds": 0,
             "store_rejects": 0,
+            "handle_hits": 0,
+            "handle_misses": 0,
+            "full_config_requests": 0,
         }
 
     # ------------------------------------------------------------- lifecycle
@@ -311,30 +353,47 @@ class VerificationService:
     async def _verify(
         self, request: Dict[str, Any], admit_only: bool
     ) -> Dict[str, Any]:
-        profiles, budget, config, fingerprint = self._parse_config(request)
+        fingerprint, (profiles, wire_profiles, budget, config) = (
+            self._resolve_config(request)
+        )
         max_states = int(request.get("max_states") or self.max_states)
         with_counterexample = bool(request.get("with_counterexample", False))
         minimize = bool(request.get("minimize", False))
 
-        tier = self._warm_tier(config, fingerprint)
+        tier, system = self._warm_lookup(fingerprint, config)
         if tier is not None:
-            # Hot path: the frozen graph replays inline — microseconds of
-            # numpy gathers, no worker hop.  verify_slot_sharing is the
-            # same front-end the one-shot scripts call, so the result is
-            # identical by construction.
             self.stats[f"{tier}_hits"] += 1
+            if admit_only:
+                # Verifier-free: the frozen graph's replay is the verdict
+                # (the same call the kernel engine makes for a verify).
+                _, _, truncated, error, _ = system.compiled_graph.explore(
+                    max_states, False
+                )
+                return {
+                    "ok": True,
+                    "admitted": error is None,
+                    "truncated": truncated,
+                    "tier": tier,
+                    "config": fingerprint,
+                }
+            # verify_slot_sharing is the same front-end the one-shot scripts
+            # call, so the result is identical by construction.  An empty
+            # graph_dir (None would fall back to REPRO_GRAPH_DIR) keeps a
+            # hit from reloading or republishing what the store holds.
             result = verify_slot_sharing(
                 profiles,
                 instance_budget=budget,
                 max_states=max_states,
                 with_counterexample=with_counterexample,
                 minimize=minimize,
-                graph_dir=self.store_dir,
+                graph_dir="",
             )
             wire = result_to_wire(result, with_counterexample)
         else:
             wire = dict(
-                await self._cold_verify(request, budget, fingerprint, max_states)
+                await self._cold_verify(
+                    request, wire_profiles, budget, fingerprint, max_states
+                )
             )
             if not with_counterexample:
                 wire["counterexample"] = []
@@ -349,9 +408,9 @@ class VerificationService:
                 "admitted": bool(wire["feasible"]),
                 "truncated": bool(wire["truncated"]),
                 "tier": tier,
+                "config": fingerprint,
             }
-        response: Dict[str, Any] = {"ok": True, "tier": tier, "result": wire}
-        return response
+        return {"ok": True, "tier": tier, "result": wire, "config": fingerprint}
 
     # -------------------------------------------------------------- check op
     async def _check(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -364,22 +423,22 @@ class VerificationService:
         same fingerprint coalesce onto one compile), then evaluates against
         the freshly published graph.
         """
-        profiles, budget, config, fingerprint = self._parse_config(request)
+        fingerprint, (_, wire_profiles, budget, config) = self._resolve_config(
+            request
+        )
         max_states = int(request.get("max_states") or self.max_states)
-        if "specs" not in request:
-            raise ServiceError("'specs' is required for check requests")
-        try:
-            specs = specs_from_wire(request["specs"])
-        except SpecError as error:
-            raise ServiceError(str(error), code=CODE_SPEC) from error
+        specs = self._parse_specs(request)
 
-        tier = self._warm_tier(config, fingerprint)
+        tier, system = self._warm_lookup(fingerprint, config)
         if tier is None:
-            await self._cold_verify(request, budget, fingerprint, max_states)
+            await self._cold_verify(
+                request, wire_profiles, budget, fingerprint, max_states
+            )
             tier = "cold"
-            self._warm_tier(config, fingerprint)  # pull the published graph
-        graph = packed_system_for(config).compiled_graph
-        if graph is None or not (graph.complete or graph.error is not None):
+            # Pull the published graph; a truncated compile published none.
+            system = self._warm_lookup(fingerprint, config)[1]
+        graph = system.compiled_graph if system is not None else None
+        if not _frozen(graph):
             raise ServiceError(
                 f"exploration hit max_states={max_states} before the graph was "
                 "complete; temporal verdicts need the fully explored graph — "
@@ -396,13 +455,31 @@ class VerificationService:
             "tier": tier,
             "feasible": graph.error is None and graph.complete,
             "verdicts": [verdict.to_dict() for verdict in verdicts],
+            "config": fingerprint,
         }
 
+    #: Bound of the handle table, the payload LRU and the spec memo.
     _PARSE_CACHE_SIZE = 256
+    #: Bound of the warm map: the ``packed_system_for`` LRU's size.
+    _WARM_MAP_SIZE = 16
 
-    def _parse_config(self, request: Dict[str, Any]):
-        """``(profiles, budget, config, fingerprint)`` of a request, memoized
-        on the raw payload so popular configurations parse once."""
+    def _resolve_config(self, request: Dict[str, Any]):
+        """``(fingerprint, (profiles, wire profiles, budget, config))`` of a
+        request, from its handle or its memoized full-config payload."""
+        handle = request.get("config")
+        if handle is not None and "profiles" not in request:
+            entry = self._configs.get(handle) if isinstance(handle, str) else None
+            if entry is None:
+                self.stats["handle_misses"] += 1
+                raise ServiceError(
+                    f"unknown config handle {handle!r}; resend the request "
+                    "with the full configuration",
+                    code=CODE_UNKNOWN_CONFIG,
+                )
+            self.stats["handle_hits"] += 1
+            self._configs.move_to_end(handle)
+            return handle, entry
+        self.stats["full_config_requests"] += 1
         key = json.dumps(
             (
                 request.get("profiles"),
@@ -412,37 +489,78 @@ class VerificationService:
             sort_keys=True,
             separators=(",", ":"),
         )
-        entry = self._parse_cache.get(key)
+        fingerprint = self._parse_cache.get(key)
+        entry = self._configs.get(fingerprint) if fingerprint else None
         if entry is not None:
             self._parse_cache.move_to_end(key)
-            return entry
+            self._configs.move_to_end(fingerprint)
+            return fingerprint, entry
         profiles = profiles_from_wire(request.get("profiles"))
         budget = budget_from_wire(request, profiles)
         config = SlotSystemConfig.from_profiles(profiles, budget)
-        entry = (profiles, budget, config, config_fingerprint(config))
-        self._parse_cache[key] = entry
-        while len(self._parse_cache) > self._PARSE_CACHE_SIZE:
-            self._parse_cache.popitem(last=False)
-        return entry
+        fingerprint = config_fingerprint(config)
+        entry = (profiles, request["profiles"], budget, config)
+        _remember(self._parse_cache, key, fingerprint, self._PARSE_CACHE_SIZE)
+        _remember(self._configs, fingerprint, entry, self._PARSE_CACHE_SIZE)
+        return fingerprint, entry
 
-    def _warm_tier(self, config, fingerprint: str) -> Optional[str]:
-        """``"memory"``/``"store"`` when the config replays warm, else None."""
+    def _parse_specs(self, request: Dict[str, Any]) -> tuple:
+        """The parsed specs of a check request, memoized on their source
+        strings (lists holding spec dicts parse every time)."""
+        if "specs" not in request:
+            raise ServiceError("'specs' is required for check requests")
+        raw = request["specs"]
+        key = (raw,) if isinstance(raw, str) else None
+        if isinstance(raw, list) and all(isinstance(entry, str) for entry in raw):
+            key = tuple(raw)
+        specs = self._specs.get(key) if key is not None else None
+        if specs is not None:
+            self._specs.move_to_end(key)
+            return specs
+        try:
+            specs = specs_from_wire(raw)
+        except SpecError as error:
+            raise ServiceError(str(error), code=CODE_SPEC) from error
+        if key is not None:
+            _remember(self._specs, key, specs, self._PARSE_CACHE_SIZE)
+        return specs
+
+    def _warm_lookup(self, fingerprint: str, config):
+        """``(tier, system)`` when the config replays warm, else
+        ``(None, None)``; tier is ``"memory"`` or ``"store"``."""
+        system = self._warm.get(fingerprint)
+        if system is not None:
+            if _frozen(system.compiled_graph) and is_shared_system(system):
+                self._warm.move_to_end(fingerprint)
+                return "memory", system
+            del self._warm[fingerprint]
         system = packed_system_for(config)
         graph = system.compiled_graph
-        if graph is not None and (graph.complete or graph.error is not None):
-            return "memory"
-        if graph is None and self.store.has(fingerprint):
-            if self.store.load(system):
-                return "store"
-            # A present entry that would not load (truncated/corrupted on
-            # disk — e.g. mid-publish crash or operator damage); the store
-            # already dropped it, so this query recompiles cold.
-            self.stats["store_rejects"] += 1
-        return None
+        if _frozen(graph):
+            tier = "memory"
+        elif graph is None and self.store.has(fingerprint):
+            if not self.store.load(system):
+                # A present entry that would not load (truncated/corrupted
+                # on disk — e.g. mid-publish crash or operator damage); the
+                # store already dropped it, so this query recompiles cold.
+                self.stats["store_rejects"] += 1
+                return None, None
+            tier = "store"
+        else:
+            return None, None
+        # Drop entries whose systems the packed LRU has since evicted, so
+        # the warm map never keeps a graph alive that nothing else holds.
+        for stale in [
+            key for key, held in self._warm.items() if not is_shared_system(held)
+        ]:
+            del self._warm[stale]
+        _remember(self._warm, fingerprint, system, self._WARM_MAP_SIZE)
+        return tier, system
 
     async def _cold_verify(
         self,
         request: Dict[str, Any],
+        wire_profiles: list,
         budget: Optional[Dict[str, int]],
         fingerprint: str,
         max_states: int,
@@ -454,7 +572,7 @@ class VerificationService:
         in ``with_counterexample`` coalesce onto the same compile.
         """
         payload = {
-            "profiles": request["profiles"],
+            "profiles": wire_profiles,
             "budget": budget,
             "max_states": max_states,
             "store_dir": self.store_dir,

@@ -65,7 +65,6 @@ from .kernel import (
     CompiledStateGraph,
     PackedStateTable,
     compiled_graph_for,
-    config_fingerprint,
     maybe_load_graph,
 )
 
@@ -310,7 +309,7 @@ class _ParentExport:
         parent_system = parent_graph.system
         words = parent_system_state_words(parent_graph)
         self.parent_n = int(parent_system._n)
-        self.fingerprint = config_fingerprint(parent_system.config)
+        self.fingerprint = parent_system.fingerprint
         #: ``parent_index -> (width, values)`` of every application's block
         #: field (a warm-startable delta shares *all* parent applications).
         self.block_fields = {}
@@ -511,7 +510,7 @@ def warm_start_graph(
             return None
 
     export = parent_export(parent_graph)
-    child_fingerprint = config_fingerprint(child_system.config)
+    child_fingerprint = child_system.fingerprint
     hints = export.hints_cache.get(child_fingerprint)
     if hints is not None:
         # Re-probe of the same (parent, candidate) pair: the lifted rows,
@@ -590,5 +589,5 @@ def _record_lineage(
     from .store import store_for
 
     store_for(directory).record_lineage(
-        config_fingerprint(child_system.config), parent_fingerprint
+        child_system.fingerprint, parent_fingerprint
     )

@@ -53,7 +53,6 @@ from .kernel import (
     GRAPH_DIR_ENV_VAR,
     checkpoint_policy_from_env,
     compiled_graph_for,
-    config_fingerprint,
     maybe_load_graph,
     maybe_save_graph,
 )
@@ -299,7 +298,7 @@ class ExhaustiveVerifier:
         from .store import store_for
 
         store = store_for(self.graph_dir)
-        fingerprint = config_fingerprint(self.config)
+        fingerprint = self.packed.fingerprint
         claim = store.claim(fingerprint)
         if claim is not None:
             # Won the claim — but a publisher may have finished between the

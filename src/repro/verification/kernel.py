@@ -1143,7 +1143,7 @@ class CompiledStateGraph:
         np.savez_compressed(
             path,
             meta=meta,
-            fingerprint=np.array(config_fingerprint(self.system.config)),
+            fingerprint=np.array(self.system.fingerprint),
             state_words=self.table.state_words,
             level_ptr=np.array(self.level_ptr, dtype=np.int64),
             indptr=self.indptr,
@@ -1183,7 +1183,7 @@ class CompiledStateGraph:
                     f"{GRAPH_FORMAT_VERSION})"
                 )
             fingerprint = str(data["fingerprint"])
-            if fingerprint != config_fingerprint(system.config):
+            if fingerprint != system.fingerprint:
                 raise VerificationError(
                     "compiled graph belongs to a different slot configuration "
                     "(fingerprint mismatch)"

@@ -114,9 +114,7 @@ def _cache_key(graph, spec: Spec) -> Optional[Tuple[str, str]]:
     """
     if not (graph.complete or graph.error is not None):
         return None
-    from .kernel import config_fingerprint
-
-    return config_fingerprint(graph.system.config), spec.text
+    return graph.system.fingerprint, spec.text
 
 
 def spec_cache_stats() -> Dict[str, int]:

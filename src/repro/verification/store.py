@@ -248,11 +248,11 @@ class GraphStore:
 
         Returns True when the system now holds the loaded graph.
         """
-        from .kernel import config_fingerprint, load_graph
+        from .kernel import load_graph
 
         if system.compiled_graph is not None:
             return False
-        fingerprint = config_fingerprint(system.config)
+        fingerprint = system.fingerprint
         path = self.entry_path(fingerprint)
         if not os.path.exists(path):
             return False
@@ -298,9 +298,9 @@ class GraphStore:
         graph = system.compiled_graph
         if graph is None or not (graph.complete or graph.error is not None):
             return None
-        from .kernel import _temp_cache_path, config_fingerprint
+        from .kernel import _temp_cache_path
 
-        fingerprint = config_fingerprint(system.config)
+        fingerprint = system.fingerprint
         path = self.entry_path(fingerprint)
         if os.path.exists(path):
             return None
@@ -339,9 +339,9 @@ class GraphStore:
         graph = system.compiled_graph
         if graph is None or graph.complete or graph.error is not None:
             return None
-        from .kernel import _temp_cache_path, config_fingerprint
+        from .kernel import _temp_cache_path
 
-        fingerprint = config_fingerprint(system.config)
+        fingerprint = system.fingerprint
         if os.path.exists(self.entry_path(fingerprint)):
             return None  # the complete graph already landed: nothing to resume
         path = self.checkpoint_path(fingerprint)
@@ -373,11 +373,11 @@ class GraphStore:
         Returns True when the system now holds the checkpointed partial
         graph.
         """
-        from .kernel import config_fingerprint, load_graph
+        from .kernel import load_graph
 
         if system.compiled_graph is not None:
             return False
-        fingerprint = config_fingerprint(system.config)
+        fingerprint = system.fingerprint
         path = self.checkpoint_path(fingerprint)
         if not os.path.exists(path):
             return False

@@ -8,43 +8,14 @@ single-flight onto exactly one compile.
 
 from __future__ import annotations
 
-import os
-import threading
-import time
-
 import pytest
 
 from repro.dimensioning.first_fit import FirstFitDimensioner, dimension_with_verification
 from repro.exceptions import ServiceError
-from repro.service import ServiceClient, VerificationService
+from repro.service import ServiceClient
 from repro.service.protocol import profiles_to_wire, result_to_wire
 from repro.verification import verify_slot_sharing
 from repro.verification.acceleration import instance_budgets
-
-
-@pytest.fixture()
-def server(tmp_path):
-    """A real server on a tempdir socket with a private graph store."""
-    socket_path = str(tmp_path / "repro.sock")
-    service = VerificationService(
-        socket_path, store_dir=str(tmp_path / "store"), workers=1
-    )
-    thread = threading.Thread(target=service.run, daemon=True)
-    thread.start()
-    for _ in range(500):
-        if os.path.exists(socket_path):
-            break
-        time.sleep(0.01)
-    else:
-        raise RuntimeError("service socket never appeared")
-    yield service
-    try:
-        with ServiceClient(socket_path, timeout=10.0) as client:
-            client.shutdown()
-    except ServiceError:
-        pass
-    thread.join(timeout=30)
-    assert not thread.is_alive()
 
 
 @pytest.fixture()
@@ -67,6 +38,8 @@ class TestBasicOps:
     def test_stats_shape(self, client):
         response = client.stats()
         assert response["stats"]["requests"] >= 1
+        for counter in ("handle_hits", "handle_misses", "full_config_requests"):
+            assert response["stats"][counter] == 0
         assert response["uptime_seconds"] >= 0
         assert response["store"]["entries"] == 0
 
