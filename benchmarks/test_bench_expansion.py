@@ -123,7 +123,7 @@ def test_bench_graph_save_load_replay(benchmark):
     print_block(
         "graph save/load round-trip — slot S1",
         [
-            f"payload: {len(payload) / 1e6:.1f} MB compressed",
+            f"payload: {len(payload) / 1e6:.1f} MB",
             f"load + replay: {benchmark.stats.stats.mean * 1e3:.1f} ms "
             f"(vs ~330 ms cold compile)",
         ],

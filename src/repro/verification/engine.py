@@ -312,21 +312,27 @@ class _ShardRecovery:
     def visited_words(self, system):
         """``(n, words)`` matrix of every state accepted so far.
 
-        The root is prepended explicitly: if the loss happened during
-        level 1 the log is empty, yet the root must still seed its shard.
-        Duplicates (the root also appears in level 1's accepted rows) are
-        harmless — the workers' interners dedupe.
+        Once level 0 completed, the root is prepended explicitly: if the
+        loss happened during level 1 the log is empty, yet the root must
+        still seed its shard.  Duplicates (the root also appears in level
+        1's accepted rows) are harmless — the workers' interners dedupe.
+        A loss *during* level 0 seeds nothing: the replay offers the root
+        as its only candidate, and a seeded root would be dropped as
+        already visited, ending the search at zero states.
         """
         import numpy as np
 
         words = system.packed_words
-        parts = [system.pack_words([system.initial])]
-        parts.extend(
+        parts = [
             np.ascontiguousarray(matrix[:, :words])
             for matrix in self.log
             if matrix.shape[0]
-        )
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        ]
+        if self.levels > 0:
+            parts.insert(0, system.pack_words([system.initial]))
+        if not parts:
+            return np.zeros((0, words), dtype=np.uint64)
+        return np.concatenate(parts)
 
 
 # --------------------------------------------------------------------- sources

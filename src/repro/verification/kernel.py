@@ -546,6 +546,29 @@ class PackedStateTable:
         return ids, first_mask, new_rows
 
 
+#: Candidate on-disk dtypes of the integer graph arrays, narrowest first.
+_NARROW_DTYPES = tuple(
+    np.dtype(name)
+    for name in ("uint8", "int8", "uint16", "int16", "uint32", "int32", "uint64", "int64")
+)
+
+
+def _narrowest_int(values: np.ndarray) -> np.ndarray:
+    """``values`` in the narrowest integer dtype that holds its value range.
+
+    Used for the on-disk form only: :meth:`CompiledStateGraph.load` casts
+    every array back to its in-memory dtype.  An empty array has no range
+    and becomes ``uint8``.
+    """
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    dtype = next(
+        dtype
+        for dtype in _NARROW_DTYPES
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max
+    )
+    return values.astype(dtype, copy=False)
+
+
 class _GrowableRows:
     """Append-only numpy array with amortized-O(1) geometric growth.
 
@@ -1115,9 +1138,15 @@ class CompiledStateGraph:
         Partially compiled graphs save too; a load resumes compilation
         where the save stopped.
 
+        The archive is uncompressed: zlib would dominate every cold
+        compile's publish and checkpoint.  Instead the CSR and parent
+        arrays are stored in the narrowest integer dtype that holds their
+        values (:func:`_narrowest_int`); :meth:`load` casts them back.
+        Archives written compressed or full-width load just the same.
+
         Args:
             path: filename or open binary file object
-                (``numpy.savez_compressed`` semantics: a ``.npz`` suffix is
+                (``numpy.savez`` semantics: a ``.npz`` suffix is
                 appended to plain filenames that lack it).
         """
         has_error = self.error is not None
@@ -1140,17 +1169,17 @@ class CompiledStateGraph:
             ],
             dtype=np.int64,
         )
-        np.savez_compressed(
+        np.savez(
             path,
             meta=meta,
             fingerprint=np.array(self.system.fingerprint),
             state_words=self.table.state_words,
             level_ptr=np.array(self.level_ptr, dtype=np.int64),
-            indptr=self.indptr,
-            succ_ids=self.successor_ids,
-            labels=self.labels,
-            parent_ids=self.parent_ids,
-            parent_labels=self.parent_labels,
+            indptr=_narrowest_int(self.indptr),
+            succ_ids=_narrowest_int(self.successor_ids),
+            labels=_narrowest_int(self.labels),
+            parent_ids=_narrowest_int(self.parent_ids),
+            parent_labels=_narrowest_int(self.parent_labels),
             error_words=error_words,
             error_mask=error_mask,
         )

@@ -266,11 +266,13 @@ class GraphStore:
             system.compiled_graph = None
             return False
         except Exception as error:
-            # Anything a stale or truncated entry can throw (BadZipFile,
-            # zlib errors, our own mismatch/corruption checks, ...) means
-            # the same thing: no usable graph.  Drop the entry so the next
-            # compile republishes a good one, and recompile now — a corrupt
-            # store must never fail a verification.
+            # Anything a stale, truncated or bit-flipped entry can throw
+            # (BadZipFile, also for a payload failing its CRC-32; zlib
+            # errors from compressed entries; our own mismatch/corruption
+            # checks, ...) means the same thing: no usable graph.  Drop the
+            # entry so the next compile republishes a good one, and
+            # recompile now — a corrupt store must never fail a
+            # verification.
             system.compiled_graph = None
             logger.warning(
                 "dropping unusable graph-store entry %s (recompiling): %s",

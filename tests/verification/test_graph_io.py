@@ -10,7 +10,9 @@ the verifier and the first-fit dimensioner.
 
 from __future__ import annotations
 
+import io
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -28,11 +30,52 @@ from repro.verification import (
     save_graph,
     verify_slot_sharing,
 )
-from repro.verification.kernel import GRAPH_FORMAT_VERSION
+from repro.verification.kernel import GRAPH_FORMAT_VERSION, _narrowest_int
+
+#: In-memory dtype of every array that ``save`` narrows on disk.
+IN_MEMORY_DTYPES = {
+    "indptr": np.int64,
+    "succ_ids": np.int32,
+    "labels": np.uint64,
+    "parent_ids": np.int32,
+    "parent_labels": np.uint64,
+}
 
 
 def _pair_config(small_profile, second_small_profile):
     return SlotSystemConfig.from_profiles((small_profile, second_small_profile))
+
+
+def _save_old_format(graph, path) -> None:
+    """Write ``graph`` the way format version 1 was first written:
+    zlib-compressed, every array at its full in-memory width."""
+    buffer = io.BytesIO()
+    graph.save(buffer)
+    buffer.seek(0)
+    with np.load(buffer) as data:
+        arrays = {key: data[key] for key in data.files}
+    for key, dtype in IN_MEMORY_DTYPES.items():
+        arrays[key] = arrays[key].astype(dtype)
+    np.savez_compressed(path, **arrays)
+
+
+def _graph_arrays(graph):
+    return {
+        "state_words": graph.table.state_words,
+        "level_ptr": np.array(graph.level_ptr),
+        "indptr": graph.indptr,
+        "succ_ids": graph.successor_ids,
+        "labels": graph.labels,
+        "parent_ids": graph.parent_ids,
+        "parent_labels": graph.parent_labels,
+    }
+
+
+def _assert_graphs_identical(actual, expected):
+    actual_arrays, expected_arrays = _graph_arrays(actual), _graph_arrays(expected)
+    for key, value in expected_arrays.items():
+        assert actual_arrays[key].dtype == value.dtype, key
+        assert np.array_equal(actual_arrays[key], value), key
 
 
 class TestSaveLoadRoundTrip:
@@ -75,6 +118,104 @@ class TestSaveLoadRoundTrip:
         assert (loaded.parent_ids == graph.parent_ids).all()
         assert (loaded.parent_labels == graph.parent_labels).all()
         assert (loaded.table.state_words == graph.table.state_words).all()
+        # Narrowed on disk, restored to the in-memory dtypes on load.
+        assert loaded.indptr.dtype == np.int64
+        assert loaded.successor_ids.dtype == np.int32
+        assert loaded.labels.dtype == np.uint64
+        assert loaded.parent_ids.dtype == np.int32
+        assert loaded.parent_labels.dtype == np.uint64
+        assert loaded.table.state_words.dtype == np.uint64
+
+    def test_saved_arrays_are_uncompressed_and_narrowed(
+        self, tmp_path, small_profile, second_small_profile
+    ):
+        config = _pair_config(small_profile, second_small_profile)
+        graph = CompiledStateGraph(PackedSlotSystem(config))
+        graph.explore(5_000_000, False)
+        path = tmp_path / "graph.npz"
+        graph.save(path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+        in_memory = _graph_arrays(graph)
+        with np.load(path) as data:
+            assert data["state_words"].dtype == np.uint64
+            for key, dtype in IN_MEMORY_DTYPES.items():
+                on_disk = data[key]
+                assert on_disk.dtype == _narrowest_int(in_memory[key]).dtype
+                assert on_disk.dtype.itemsize < np.dtype(dtype).itemsize, key
+                assert np.array_equal(on_disk, in_memory[key]), key
+
+    def test_old_compressed_full_width_entry_replays(
+        self, tmp_path, small_profile, second_small_profile
+    ):
+        config = _pair_config(small_profile, second_small_profile)
+        graph = CompiledStateGraph(PackedSlotSystem(config))
+        reference = graph.explore(5_000_000, True)
+        path = tmp_path / "old.npz"
+        _save_old_format(graph, path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+
+        fresh = PackedSlotSystem(config)
+        loaded = CompiledStateGraph.load(path, fresh)
+        _assert_graphs_identical(loaded, graph)
+        replay = loaded.explore(5_000_000, True)
+        assert replay[:4] == reference[:4]
+        assert dict(replay[4]) == dict(reference[4])
+        assert not fresh._successor_memo
+
+    def test_old_compressed_full_width_partial_graph_resumes(
+        self, tmp_path, small_profile, second_small_profile
+    ):
+        config = _pair_config(small_profile, second_small_profile)
+        full_graph = CompiledStateGraph(PackedSlotSystem(config))
+        full = full_graph.explore(5_000_000, False)
+        partial = CompiledStateGraph(PackedSlotSystem(config))
+        partial.explore(40, False)
+        assert not partial.complete
+        path = tmp_path / "old-partial.npz"
+        _save_old_format(partial, path)
+
+        resumed = CompiledStateGraph.load(path, PackedSlotSystem(config))
+        assert resumed.explore(5_000_000, False)[:4] == full[:4]
+        assert resumed.complete
+        _assert_graphs_identical(resumed, full_graph)
+
+    def test_one_state_graph_round_trips_empty_arrays(self, tmp_path, small_profile):
+        config = SlotSystemConfig.from_profiles((small_profile,))
+        graph = CompiledStateGraph(PackedSlotSystem(config))  # root only
+        assert graph.state_count == 1 and len(graph.parent_ids) == 0
+        path = tmp_path / "root.npz"
+        graph.save(path)
+        loaded = CompiledStateGraph.load(path, PackedSlotSystem(config))
+        _assert_graphs_identical(loaded, graph)
+        reference = CompiledStateGraph(PackedSlotSystem(config))
+        assert loaded.explore(5_000_000, False)[:4] == reference.explore(
+            5_000_000, False
+        )[:4]
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            (np.zeros(0, dtype=np.int32), np.uint8),
+            (np.zeros(0, dtype=np.uint64), np.uint8),
+            (np.array([0, 255], dtype=np.int64), np.uint8),
+            (np.array([0, 256], dtype=np.int64), np.uint16),
+            (np.array([-1, 5], dtype=np.int32), np.int8),
+            (np.array([-129, 5], dtype=np.int32), np.int16),
+            (np.array([0, 2**32 - 1], dtype=np.int64), np.uint32),
+            (np.array([-1, 2**31], dtype=np.int64), np.int64),
+            (np.array([2**64 - 1], dtype=np.uint64), np.uint64),
+        ],
+    )
+    def test_narrowest_int_fits_the_value_range(self, values, dtype):
+        narrowed = _narrowest_int(values)
+        assert narrowed.dtype == dtype
+        assert np.array_equal(narrowed, values)
 
     def test_partial_graph_resumes_compilation(
         self, tmp_path, small_profile, second_small_profile

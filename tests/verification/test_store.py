@@ -19,13 +19,14 @@ import time
 import pytest
 
 from repro.exceptions import VerificationError
-from repro.scheduler.packed import PackedSlotSystem
+from repro.scheduler.packed import PackedSlotSystem, clear_packed_caches
 from repro.scheduler.slot_system import SlotSystemConfig
 from repro.verification import (
     GraphStore,
     STORE_BYTES_ENV_VAR,
     config_fingerprint,
     store_for,
+    verify_slot_sharing,
 )
 from repro.verification.kernel import CompiledStateGraph
 from repro.verification.store import DEFAULT_CLAIM_TIMEOUT
@@ -42,6 +43,25 @@ def _compiled_system(*profiles) -> PackedSlotSystem:
 @pytest.fixture()
 def store(tmp_path) -> GraphStore:
     return GraphStore(str(tmp_path))
+
+
+def _flip_middle_byte(path) -> None:
+    """Invert one byte halfway through a file (a silent media bit flip)."""
+    middle = os.path.getsize(path) // 2
+    with open(path, "r+b") as handle:
+        handle.seek(middle)
+        byte = handle.read(1)[0]
+        handle.seek(middle)
+        handle.write(bytes([byte ^ 0xFF]))
+
+
+def _verify_through(store, profiles):
+    return verify_slot_sharing(
+        profiles,
+        with_counterexample=False,
+        engine="kernel",
+        graph_dir=store.directory,
+    )
 
 
 # ----------------------------------------------------------- publish / load
@@ -97,6 +117,36 @@ class TestPublishLoad:
         # republishes a good one.
         assert not store.has(fingerprint)
         assert store.parent_of(fingerprint) is None
+
+    def test_bit_flipped_entry_logs_drops_and_recompiles(
+        self, store, small_profile, second_small_profile, caplog
+    ):
+        # Entries are stored uncompressed: the zip CRC-32 is what catches
+        # a flipped byte inside an array payload.
+        profiles = [small_profile, second_small_profile]
+        reference = verify_slot_sharing(
+            profiles, with_counterexample=False, engine="kernel"
+        )
+        clear_packed_caches()
+        _verify_through(store, profiles)
+        fingerprint = config_fingerprint(SlotSystemConfig.from_profiles(profiles))
+        _flip_middle_byte(store.entry_path(fingerprint))
+
+        clear_packed_caches()
+        with caplog.at_level(logging.WARNING, logger="repro.verification.store"):
+            again = _verify_through(store, profiles)
+        assert any(
+            "unusable graph-store entry" in record.message and "CRC" in record.message
+            for record in caplog.records
+        )
+        assert (again.feasible, again.explored_states) == (
+            reference.feasible,
+            reference.explored_states,
+        )
+        # The recompile republished a good entry in place of the dropped one.
+        fresh = PackedSlotSystem(SlotSystemConfig.from_profiles(profiles))
+        assert store.load(fresh)
+        assert fresh.compiled_graph.state_count == reference.explored_states
 
 
 # ------------------------------------------------------------------ eviction
@@ -380,6 +430,32 @@ class TestCheckpointCrashWindows:
             assert not store.load_checkpoint(fresh)
         assert fresh.compiled_graph is None
         assert not os.path.exists(path)
+
+    def test_bit_flipped_checkpoint_logs_drops_and_recompiles(
+        self, store, small_profile, second_small_profile, caplog
+    ):
+        profiles = [small_profile, second_small_profile]
+        reference = verify_slot_sharing(
+            profiles, with_counterexample=False, engine="kernel"
+        )
+        clear_packed_caches()
+        partial = _partial_system(*profiles)
+        path = store.publish_checkpoint(partial)
+        _flip_middle_byte(path)
+
+        with caplog.at_level(logging.WARNING, logger="repro.verification.store"):
+            again = _verify_through(store, profiles)
+        assert any(
+            "unusable exploration checkpoint" in record.message
+            and "CRC" in record.message
+            for record in caplog.records
+        )
+        assert not os.path.exists(path)
+        assert (again.feasible, again.explored_states) == (
+            reference.feasible,
+            reference.explored_states,
+        )
+        assert store.has(partial.fingerprint)
 
     def test_missing_checkpoint_is_a_plain_miss(self, store, small_profile):
         fresh = PackedSlotSystem(SlotSystemConfig.from_profiles((small_profile,)))

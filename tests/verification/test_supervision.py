@@ -92,6 +92,33 @@ class TestSupervisedRecovery:
         # differently after the re-partition (documented).
         assert set(dict(outcome.parents)) == set(dict(reference.parents))
 
+    def test_team_lost_during_the_root_level_recovers(
+        self, transport, small_profile, second_small_profile
+    ):
+        # A loss before the root was accepted must replay the root level
+        # from scratch: seeding the root as already visited would drop it
+        # and end the search at zero states.
+        source = _source(small_profile, second_small_profile)
+        reference = ShardedEngine(2, supervise=False).explore(
+            source, 200_000, with_parents=False
+        )
+        fired = []
+
+        def kill_team_once(level, pids):
+            if not fired:
+                fired.append(level)
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
+
+        engine = ShardedEngine(2, supervise=True, fault_hook=kill_team_once)
+        with pytest.warns(RuntimeWarning, match="re-partitioning"):
+            outcome = engine.explore(source, 200_000, with_parents=False)
+        assert fired == [0]
+        assert engine.recovered_workers == 1
+        assert outcome.feasible == reference.feasible
+        assert outcome.visited_count == reference.visited_count
+        assert outcome.levels == reference.levels
+
     def test_recovery_without_parent_store(
         self, transport, small_profile, second_small_profile
     ):
