@@ -2,11 +2,15 @@
 """Load-generate against the verification service.
 
 Simulates heavy multi-user dimensioning traffic: ``--clients`` threads,
-each with its own connection, fire admission queries against a shared
-config pool drawn with a **zipf-skewed** popularity distribution — a few
-hot slot configurations dominate (the warm hot path) while the tail mixes
-in rarely-seen synthetic variants (cold compiles).  Reports sustained
-queries/s, latency percentiles per tier and the server's own counters.
+each with its own connection, fire queries against a shared config pool
+drawn with a **zipf-skewed** popularity distribution — a few hot slot
+configurations dominate (the warm hot path) while the tail mixes in
+rarely-seen synthetic variants (cold compiles).  The op mix is fixed at
+the benchmark's warm mix: 80% ``admit``, 10% ``check`` of the drawn
+configuration's ``standard_spec_bundle`` and 10% ``counterexample``, so
+concurrent connections exercise the server's warm answer memo.  Reports
+sustained queries/s, latency percentiles overall and per op, and the
+server's own counters.
 
 Usage (against a running server)::
 
@@ -79,23 +83,41 @@ def zipf_weights(count: int, exponent: float):
     return [weight / total for weight in weights]
 
 
+#: Fixed op mix of every client: the benchmark's ``warm_query`` mix.
+OP_WEIGHTS = (("admit", 0.8), ("check", 0.1), ("counterexample", 0.1))
+
+
 def run_client(socket_path, pool, weights, deadline, seed, latencies, errors):
-    """One simulated user: weighted-random admission queries until the
-    deadline; per-request latencies append to the shared list."""
+    """One simulated user: weighted-random queries in the fixed op mix until
+    the deadline; per-request latencies append to ``latencies[op]``."""
     from repro.service import ServiceClient
+    from repro.verification import standard_spec_bundle
 
     rng = random.Random(seed)
-    local = []
+    # Source strings, not spec objects, so the server memoizes the answers.
+    bundles = [[spec.text for spec in standard_spec_bundle(config)] for config in pool]
+    ops = [name for name, _ in OP_WEIGHTS]
+    op_weights = [weight for _, weight in OP_WEIGHTS]
+    indices = range(len(pool))
+    local = {op: [] for op in ops}
     try:
         with ServiceClient(socket_path) as client:
+            calls = {
+                "admit": lambda index: client.admit(pool[index]),
+                "check": lambda index: client.check(pool[index], bundles[index]),
+                # Feasible configs answer with an empty witness.
+                "counterexample": lambda index: client.counterexample(pool[index]),
+            }
             while time.perf_counter() < deadline:
-                config = rng.choices(pool, weights=weights, k=1)[0]
+                op = rng.choices(ops, weights=op_weights)[0]
+                index = rng.choices(indices, weights=weights)[0]
                 start = time.perf_counter()
-                client.admit(config)
-                local.append(time.perf_counter() - start)
+                calls[op](index)
+                local[op].append(time.perf_counter() - start)
     except Exception as error:  # noqa: BLE001 - report, don't kill the run
         errors.append(repr(error))
-    latencies.extend(local)
+    for op, samples in local.items():
+        latencies[op].extend(samples)
 
 
 def percentile(values, fraction):
@@ -174,7 +196,7 @@ def main() -> int:
                 probe.admit(config)
             before = probe.stats()
 
-        latencies: list = []
+        latencies = {op: [] for op, _ in OP_WEIGHTS}
         errors: list = []
         deadline = time.perf_counter() + args.duration
         started = time.perf_counter()
@@ -214,6 +236,8 @@ def main() -> int:
         print(f"client errors: {errors}", file=sys.stderr)
         return 2
 
+    per_op = latencies
+    latencies = [sample for samples in per_op.values() for sample in samples]
     count = len(latencies)
     qps = count / elapsed if elapsed else float("nan")
     window = {
@@ -233,8 +257,12 @@ def main() -> int:
             "p99": percentile(latencies, 0.99),
             "max": max(latencies) if latencies else float("nan"),
         },
+        "op_mix": dict(OP_WEIGHTS),
+        "op_p50_seconds": {op: percentile(samples, 0.50) for op, samples in per_op.items()},
+        "op_requests": {op: len(samples) for op, samples in per_op.items()},
         "server_window": window,
         "store": after["store"],
+        "spec_cache": after.get("spec_cache", {}),
     }
 
     print(f"sustained: {qps:,.0f} queries/s over {elapsed:.1f}s "
@@ -245,9 +273,17 @@ def main() -> int:
     print(f"server:    memory_hits {window['memory_hits']}, "
           f"store_hits {window['store_hits']}, compiles {window['compiles']}, "
           f"coalesced {window['coalesced']}, errors {window['errors']}")
+    print("per op:    " + "   ".join(
+        f"{op} p50 {p50 * 1e3:.2f} ms ({record['op_requests'][op]})"
+        for op, p50 in record["op_p50_seconds"].items()))
     print(f"handles:   handle_hits {window.get('handle_hits', 0)}, "
           f"handle_misses {window.get('handle_misses', 0)}, "
           f"full_config_requests {window.get('full_config_requests', 0)}")
+    spec_cache = record["spec_cache"]
+    print(f"answers:   answer_hits {window.get('answer_hits', 0)}, "
+          f"answer_misses {window.get('answer_misses', 0)}; spec_cache "
+          f"hits {spec_cache.get('hits', 0)}, misses {spec_cache.get('misses', 0)}, "
+          f"entries {spec_cache.get('entries', 0)}")
 
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
@@ -265,6 +301,12 @@ def main() -> int:
                 f"| p99 latency | {lat['p99'] * 1e3:.2f} ms |\n"
                 f"| compiles (window) | {window['compiles']} |\n"
                 f"| coalesced (window) | {window['coalesced']} |\n"
+                f"| answer memo hits / misses (window) | "
+                f"{window.get('answer_hits', 0)} / {window.get('answer_misses', 0)} |\n"
+                + "".join(
+                    f"| {op} p50 latency | {p50 * 1e3:.2f} ms |\n"
+                    for op, p50 in record["op_p50_seconds"].items()
+                )
             )
 
     if args.min_qps is not None and qps < args.min_qps:

@@ -20,8 +20,10 @@ Operations:
     Liveness probe; responds ``{"ok": true, "pong": true}``.
 ``stats``
     Server counters (hits per tier, coalesced compiles, config-handle
-    hits/misses and full-config requests, uptime) and the graph-store
-    summary.
+    hits/misses and full-config requests, warm answer-memo
+    ``answer_hits``/``answer_misses``, uptime), the graph-store summary
+    and, under ``spec_cache``, the process's spec-verdict cache counters
+    (``hits``, ``misses``, ``entries``).
 ``verify``
     Full verification of one slot configuration.  Fields: ``profiles``
     (list of :meth:`~repro.switching.profile.SwitchingProfile.to_dict`
@@ -102,6 +104,12 @@ Responses
 ``{"id": ..., "ok": false, "error": "<message>", "code": "<code>",
 "retryable": <bool>}`` on failure — a failed request never tears down the
 connection.
+
+A warm ``verify``, ``counterexample`` or ``check`` that repeats an earlier
+one on the same frozen graph is answered from the server's memo of that
+graph's answers.  Its ``elapsed_seconds`` (on the result, or on each
+verdict) is then the memo lookup time, not the time the original
+computation took; every other field equals a fresh computation.
 
 Error codes
 -----------

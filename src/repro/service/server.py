@@ -23,8 +23,8 @@ Architecture (the thin-hot-path shape of high-rate acquisition systems):
   parent's published graph through the store's lineage instead of
   compiling from scratch.
 
-Two bounded tables keep a warm query down to a dictionary lookup plus the
-replay:
+Three bounded tables keep a warm query down to a dictionary lookup plus,
+at most, the replay:
 
 * **Handle table** — an LRU from config fingerprint to the parsed
   configuration ``(profiles, wire profiles, budget, config)``.  A request
@@ -38,8 +38,18 @@ replay:
   ``packed_system_for`` LRU.  A hit skips ``packed_system_for`` (two hashes
   of the frozen config) and, for ``admit``, the verifier too: the answer
   comes straight from the graph's replay.  Every hit re-checks that the
-  graph is still frozen and the system still the shared one, because
-  ``clear_packed_caches``, an LRU eviction or a store load can replace it.
+  entry's frozen graph is still the one installed on the system and the
+  system still the shared one, because ``clear_packed_caches``, an LRU
+  eviction or a store load can replace either.
+* **Answer memo** — inside each warm-map entry, an LRU of the wire answers
+  its frozen graph has given: ``verify``/``counterexample`` results keyed
+  by ``(max_states, with_counterexample, minimize)`` and ``check`` verdict
+  lists keyed by the tuple of spec source strings (dict specs are not
+  memoized).  A repeated warm query is then a lookup that only re-stamps
+  ``elapsed_seconds`` with its own lookup time.  The answers live and die
+  with their entry and graph object, so nothing computed from a replaced
+  graph is ever served; ``admit`` (already a bare replay), cold requests
+  and ``first_fit`` are not memoized.
 
 Hits never publish: a warm graph is by definition already in the store.
 
@@ -65,7 +75,7 @@ from ..scheduler.slot_system import SlotSystemConfig
 from ..verification.exhaustive import DEFAULT_MAX_STATES, verify_slot_sharing
 from ..verification.kernel import config_fingerprint
 from ..verification.spec import specs_from_wire
-from ..verification.spec_eval import evaluate_specs
+from ..verification.spec_eval import evaluate_specs, spec_cache_stats
 from ..verification.store import store_for
 from .protocol import (
     CODE_SHUTTING_DOWN,
@@ -96,6 +106,39 @@ DEFAULT_STORE_DIR = os.path.join(
 def _frozen(graph) -> bool:
     """Whether a compiled graph replays without expanding anything."""
     return graph is not None and (graph.complete or graph.error is not None)
+
+
+class _WarmEntry:
+    """A warm-map entry: the shared packed system, the frozen graph it held
+    when the entry was made, and the wire answers computed from that graph
+    (an LRU keyed as described in the module docstring)."""
+
+    __slots__ = ("system", "graph", "answers")
+
+    def __init__(self, system) -> None:
+        self.system = system
+        self.graph = system.compiled_graph
+        self.answers: "OrderedDict[tuple, Any]" = OrderedDict()
+
+    def current(self) -> bool:
+        """Whether the entry's graph is still the one its system replays
+        and the system still the shared one."""
+        return self.system.compiled_graph is self.graph and is_shared_system(
+            self.system
+        )
+
+
+def _spec_key(request: Dict[str, Any]) -> Optional[tuple]:
+    """The tuple of spec source strings of a check request, or None when
+    its specs include dicts."""
+    if "specs" not in request:
+        raise ServiceError("'specs' is required for check requests")
+    raw = request["specs"]
+    if isinstance(raw, str):
+        return (raw,)
+    if isinstance(raw, list) and all(isinstance(entry, str) for entry in raw):
+        return tuple(raw)
+    return None
 
 
 def _remember(table: OrderedDict, key, value, limit: int) -> None:
@@ -184,8 +227,9 @@ class VerificationService:
         #: Full-config requests: raw profile/budget payload -> fingerprint,
         #: so a client that does not use handles parses each config once.
         self._parse_cache: "OrderedDict[str, str]" = OrderedDict()
-        #: Warm map: fingerprint -> shared packed system with a frozen graph.
-        self._warm: "OrderedDict[str, Any]" = OrderedDict()
+        #: Warm map: fingerprint -> entry of the shared packed system with a
+        #: frozen graph, plus that graph's memoized answers.
+        self._warm: "OrderedDict[str, _WarmEntry]" = OrderedDict()
         #: Parsed spec lists keyed by the tuple of their source strings.
         self._specs: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._started = time.monotonic()
@@ -202,6 +246,8 @@ class VerificationService:
             "handle_hits": 0,
             "handle_misses": 0,
             "full_config_requests": 0,
+            "answer_hits": 0,
+            "answer_misses": 0,
         }
 
     # ------------------------------------------------------------- lifecycle
@@ -360,15 +406,13 @@ class VerificationService:
         with_counterexample = bool(request.get("with_counterexample", False))
         minimize = bool(request.get("minimize", False))
 
-        tier, system = self._warm_lookup(fingerprint, config)
+        tier, entry = self._warm_lookup(fingerprint, config)
         if tier is not None:
             self.stats[f"{tier}_hits"] += 1
             if admit_only:
                 # Verifier-free: the frozen graph's replay is the verdict
                 # (the same call the kernel engine makes for a verify).
-                _, _, truncated, error, _ = system.compiled_graph.explore(
-                    max_states, False
-                )
+                _, _, truncated, error, _ = entry.graph.explore(max_states, False)
                 return {
                     "ok": True,
                     "admitted": error is None,
@@ -376,19 +420,29 @@ class VerificationService:
                     "tier": tier,
                     "config": fingerprint,
                 }
-            # verify_slot_sharing is the same front-end the one-shot scripts
-            # call, so the result is identical by construction.  An empty
-            # graph_dir (None would fall back to REPRO_GRAPH_DIR) keeps a
-            # hit from reloading or republishing what the store holds.
-            result = verify_slot_sharing(
-                profiles,
-                instance_budget=budget,
-                max_states=max_states,
-                with_counterexample=with_counterexample,
-                minimize=minimize,
-                graph_dir="",
-            )
-            wire = result_to_wire(result, with_counterexample)
+            # max_states is part of the key: a smaller cap truncates the
+            # replay and so changes the answer.
+            key = ("verify", max_states, with_counterexample, minimize)
+            started = time.perf_counter()
+            wire = self._answer(entry, key)
+            if wire is not None:
+                wire = dict(wire, elapsed_seconds=time.perf_counter() - started)
+            else:
+                # verify_slot_sharing is the same front-end the one-shot
+                # scripts call, so the result is identical by construction.
+                # An empty graph_dir (None would fall back to
+                # REPRO_GRAPH_DIR) keeps a hit from reloading or
+                # republishing what the store holds.
+                result = verify_slot_sharing(
+                    profiles,
+                    instance_budget=budget,
+                    max_states=max_states,
+                    with_counterexample=with_counterexample,
+                    minimize=minimize,
+                    graph_dir="",
+                )
+                wire = result_to_wire(result, with_counterexample)
+                self._remember_answer(entry, key, wire)
         else:
             wire = dict(
                 await self._cold_verify(
@@ -427,17 +481,32 @@ class VerificationService:
             request
         )
         max_states = int(request.get("max_states") or self.max_states)
-        specs = self._parse_specs(request)
+        spec_key = _spec_key(request)
 
-        tier, system = self._warm_lookup(fingerprint, config)
+        tier, entry = self._warm_lookup(fingerprint, config)
+        if tier is not None and spec_key is not None:
+            # A warm graph is frozen, so max_states cannot change a verdict.
+            key = ("check", spec_key)
+            started = time.perf_counter()
+            answer = self._answer(entry, key)
+            if answer is not None:
+                elapsed = time.perf_counter() - started
+                self.stats["spec_checks"] += 1
+                return self._check_response(
+                    tier,
+                    entry.graph,
+                    [dict(verdict, elapsed_seconds=elapsed) for verdict in answer],
+                    fingerprint,
+                )
+        specs = self._parse_specs(request)
         if tier is None:
             await self._cold_verify(
                 request, wire_profiles, budget, fingerprint, max_states
             )
             tier = "cold"
             # Pull the published graph; a truncated compile published none.
-            system = self._warm_lookup(fingerprint, config)[1]
-        graph = system.compiled_graph if system is not None else None
+            entry = self._warm_lookup(fingerprint, config)[1]
+        graph = entry.graph if entry is not None else None
         if not _frozen(graph):
             raise ServiceError(
                 f"exploration hit max_states={max_states} before the graph was "
@@ -450,11 +519,18 @@ class VerificationService:
         except SpecError as error:
             raise ServiceError(str(error), code=CODE_SPEC) from error
         self.stats["spec_checks"] += 1
+        answer = [verdict.to_dict() for verdict in verdicts]
+        if tier != "cold" and spec_key is not None:
+            self._remember_answer(entry, ("check", spec_key), answer)
+        return self._check_response(tier, graph, answer, fingerprint)
+
+    @staticmethod
+    def _check_response(tier: str, graph, verdicts: list, fingerprint: str):
         return {
             "ok": True,
             "tier": tier,
             "feasible": graph.error is None and graph.complete,
-            "verdicts": [verdict.to_dict() for verdict in verdicts],
+            "verdicts": verdicts,
             "config": fingerprint,
         }
 
@@ -462,6 +538,23 @@ class VerificationService:
     _PARSE_CACHE_SIZE = 256
     #: Bound of the warm map: the ``packed_system_for`` LRU's size.
     _WARM_MAP_SIZE = 16
+    #: Bound of the answer memo of one warm-map entry.
+    _ANSWER_MEMO_SIZE = 16
+
+    def _answer(self, entry: _WarmEntry, key: tuple):
+        """The memoized wire answer of a warm entry under ``key``, or None."""
+        answer = entry.answers.get(key)
+        if answer is None:
+            self.stats["answer_misses"] += 1
+            return None
+        entry.answers.move_to_end(key)
+        self.stats["answer_hits"] += 1
+        return answer
+
+    def _remember_answer(self, entry: _WarmEntry, key: tuple, answer) -> None:
+        """Memoize a warm answer, unless its entry went stale meanwhile."""
+        if entry.current():
+            _remember(entry.answers, key, answer, self._ANSWER_MEMO_SIZE)
 
     def _resolve_config(self, request: Dict[str, Any]):
         """``(fingerprint, (profiles, wire profiles, budget, config))`` of a
@@ -507,12 +600,8 @@ class VerificationService:
     def _parse_specs(self, request: Dict[str, Any]) -> tuple:
         """The parsed specs of a check request, memoized on their source
         strings (lists holding spec dicts parse every time)."""
-        if "specs" not in request:
-            raise ServiceError("'specs' is required for check requests")
+        key = _spec_key(request)
         raw = request["specs"]
-        key = (raw,) if isinstance(raw, str) else None
-        if isinstance(raw, list) and all(isinstance(entry, str) for entry in raw):
-            key = tuple(raw)
         specs = self._specs.get(key) if key is not None else None
         if specs is not None:
             self._specs.move_to_end(key)
@@ -526,15 +615,20 @@ class VerificationService:
         return specs
 
     def _warm_lookup(self, fingerprint: str, config):
-        """``(tier, system)`` when the config replays warm, else
+        """``(tier, warm-map entry)`` when the config replays warm, else
         ``(None, None)``; tier is ``"memory"`` or ``"store"``."""
-        system = self._warm.get(fingerprint)
-        if system is not None:
-            if _frozen(system.compiled_graph) and is_shared_system(system):
+        entry = self._warm.get(fingerprint)
+        if entry is not None:
+            if entry.current():
                 self._warm.move_to_end(fingerprint)
-                return "memory", system
+                return "memory", entry
             del self._warm[fingerprint]
         system = packed_system_for(config)
+        # Drop entries whose systems the packed LRU has since evicted, so
+        # the warm map never keeps a graph (or its answers) alive that
+        # nothing else holds.
+        for stale in [key for key, held in self._warm.items() if not held.current()]:
+            del self._warm[stale]
         graph = system.compiled_graph
         if _frozen(graph):
             tier = "memory"
@@ -548,14 +642,9 @@ class VerificationService:
             tier = "store"
         else:
             return None, None
-        # Drop entries whose systems the packed LRU has since evicted, so
-        # the warm map never keeps a graph alive that nothing else holds.
-        for stale in [
-            key for key, held in self._warm.items() if not is_shared_system(held)
-        ]:
-            del self._warm[stale]
-        _remember(self._warm, fingerprint, system, self._WARM_MAP_SIZE)
-        return tier, system
+        entry = _WarmEntry(system)
+        _remember(self._warm, fingerprint, entry, self._WARM_MAP_SIZE)
+        return tier, entry
 
     async def _cold_verify(
         self,
@@ -682,4 +771,5 @@ class VerificationService:
             "inflight": len(self._inflight),
             "uptime_seconds": time.monotonic() - self._started,
             "store": self.store.describe(),
+            "spec_cache": spec_cache_stats(),
         }

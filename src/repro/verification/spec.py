@@ -58,7 +58,7 @@ verbatim, and through :func:`format_spec` back to parseable source text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import SpecError
@@ -187,11 +187,17 @@ class Spec:
 
     name: str
     form: Form
+    #: Memo of :attr:`text` (the form never changes, so neither does it).
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def text(self) -> str:
         """Canonical parseable source text of the spec."""
-        return format_spec(self)
+        text = self._text
+        if text is None:
+            text = format_spec(self)
+            object.__setattr__(self, "_text", text)
+        return text
 
     def to_dict(self) -> Dict[str, Any]:
         return spec_to_dict(self)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -504,20 +504,30 @@ def _error_state_satisfies(graph, node) -> bool:
 def evaluate_specs(graph, specs: Sequence[Spec]) -> List[SpecVerdict]:
     """Check a spec batch against one compiled graph (shared atom cache)."""
     cache = _FieldCache(graph.system, graph.table.state_words)
-    return [evaluate_spec(graph, spec, _cache=cache) for spec in specs]
+    capacity = _spec_cache_capacity()
+    return [
+        evaluate_spec(graph, spec, _cache=cache, _capacity=capacity)
+        for spec in specs
+    ]
 
 
-def evaluate_spec(graph, spec: Spec, _cache: Optional[_FieldCache] = None) -> SpecVerdict:
+def evaluate_spec(
+    graph,
+    spec: Spec,
+    _cache: Optional[_FieldCache] = None,
+    _capacity: Optional[int] = None,
+) -> SpecVerdict:
     """Check one spec against a compiled graph; never re-explores.
 
     Verdicts for settled graphs (complete, or error-stopped) are memoized in
     a per-process LRU keyed on ``(configuration fingerprint, spec text)``, so
     a repeated ``check`` against a warm graph skips label re-propagation
-    entirely.  Size the LRU with :data:`SPEC_CACHE_ENV_VAR` (``0`` disables).
+    entirely.  Size the LRU with :data:`SPEC_CACHE_ENV_VAR` (``0`` disables);
+    :func:`evaluate_specs` reads it once per batch and passes it down.
     """
     global _spec_cache_hits, _spec_cache_misses
     started = time.perf_counter()
-    capacity = _spec_cache_capacity()
+    capacity = _spec_cache_capacity() if _capacity is None else _capacity
     key = _cache_key(graph, spec) if capacity > 0 else None
     if key is not None:
         hit = _spec_cache.get(key)
@@ -526,8 +536,15 @@ def evaluate_spec(graph, spec: Spec, _cache: Optional[_FieldCache] = None) -> Sp
             _spec_cache_hits += 1
             # Same immutable verdict under the caller's spec name, stamped
             # with the (near-zero) lookup time instead of the original's.
-            return replace(
-                hit, name=spec.name, elapsed_seconds=time.perf_counter() - started
+            return SpecVerdict(
+                name=spec.name,
+                source=hit.source,
+                holds=hit.holds,
+                witness=hit.witness,
+                loop_start=hit.loop_start,
+                states_checked=hit.states_checked,
+                elapsed_seconds=time.perf_counter() - started,
+                reason=hit.reason,
             )
         _spec_cache_misses += 1
     cache = _cache or _FieldCache(graph.system, graph.table.state_words)

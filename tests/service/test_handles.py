@@ -343,7 +343,7 @@ class TestTablesStayBounded:
                 {"profiles": profiles_to_wire(profiles), "use_acceleration": False}
             )
             verify_slot_sharing(profiles, instance_budget=budget, engine="kernel")
-            tier, system = service._warm_lookup(fingerprint, config)
-            assert tier == "memory" and system.fingerprint == fingerprint
+            tier, entry = service._warm_lookup(fingerprint, config)
+            assert tier == "memory" and entry.system.fingerprint == fingerprint
         assert len(service._warm) <= service._WARM_MAP_SIZE
-        assert all(is_shared_system(system) for system in service._warm.values())
+        assert all(is_shared_system(entry.system) for entry in service._warm.values())

@@ -69,6 +69,11 @@ class TestParser:
     def test_parse_format_round_trip(self, text):
         spec = parse_spec(text)
         assert parse_spec(format_spec(spec)).form == spec.form
+        # The memoized text is the formatted text and plays no part in
+        # equality or hashing.
+        fresh = parse_spec(text)
+        assert spec.text == spec.text == format_spec(fresh)
+        assert spec == fresh and hash(spec) == hash(fresh)
 
     @pytest.mark.parametrize("text", GENERIC_SPECS)
     def test_dict_round_trip(self, text):
@@ -433,6 +438,7 @@ class TestSpecVerdictCache:
         spec = parse_spec("always not missed")
         evaluate_spec(graph, spec)
         evaluate_spec(graph, spec)
+        evaluate_specs(graph, [spec, spec])
         assert spec_cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
 
         monkeypatch.setenv(SPEC_CACHE_ENV_VAR, "1")
